@@ -2,8 +2,9 @@
 //! framework — the workspace builds offline).
 //!
 //! Builds the production index over N synthetic case reports, then times
-//! the DAAT executor (`Index::search` — galloping intersection, MaxScore
-//! pruning, bucketed fuzzy expansion) against the exhaustive baseline
+//! the production executor (`Index::search` — term-at-a-time scoring of
+//! flat disjunctions, galloping intersection, bucketed fuzzy expansion)
+//! against the exhaustive baseline
 //! (`Index::search_exhaustive`) on term, phrase, boolean, and fuzzy
 //! workloads, asserting bit-identical rankings throughout. A final
 //! workload measures the facade's generation-stamped query cache (cold

@@ -791,7 +791,7 @@ pub(crate) fn execute_cohort(
             // are shard-count-invariant by construction.
             let mut stats = CorpusStats::default();
             for shard in shards {
-                stats.merge(&CorpusStats::collect(&shard.index, &q));
+                stats.merge(CorpusStats::collect(&shard.index, &q));
             }
             for (no, shard) in shards.iter().enumerate() {
                 let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);

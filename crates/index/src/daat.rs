@@ -1,38 +1,35 @@
-//! Document-at-a-time (DAAT) query execution with MaxScore top-k pruning.
+//! Query execution: term-at-a-time scoring for flat disjunctions,
+//! document-at-a-time merging for everything else.
 //!
-//! [`Index::search`](crate::Index::search) runs here. The executor walks
-//! the already-sorted postings with per-term cursors (galloping seeks)
-//! instead of materializing per-clause `HashMap`s, intersects `Bool::must`
-//! and phrase terms by merge, and — for the flat disjunctions the query
-//! console actually sends (`query_string` over one or more fields) —
-//! prunes with per-term score upper bounds in the MaxScore style.
+//! [`Index::search`](crate::Index::search) runs here. The flat
+//! disjunctions the query console actually sends (`query_string` over one
+//! or more fields, fuzzy expansions included) flatten into a list of term
+//! clauses; an n-gram field alone yields a hundred or more. Those are
+//! scored *term at a time*: each clause's postings are walked once, in
+//! clause order, adding into a dense per-document accumulator, and the
+//! top k are selected from the documents it reached. `Bool::must` and
+//! phrase terms are intersected by merge over per-term cursors
+//! (galloping seeks) instead of per-clause `HashMap`s.
 //!
 //! **Equivalence invariant.** Every path returns rankings bit-identical to
 //! [`Index::search_exhaustive`](crate::Index::search_exhaustive):
 //!
-//! * per-document scores are accumulated in *clause order* (the order the
-//!   exhaustive walker visits clauses), so the floating-point fold is the
-//!   same sequence of rounded additions;
-//! * a per-term upper bound is the exact maximum of that term's per-doc
-//!   scores (same formula, same bits), so `score ≤ bound` holds under the
-//!   same fold order by rounding monotonicity;
-//! * pruning only ever skips a document whose bound is *strictly* below
-//!   the current k-th entry score — a tie can never be dropped, so the
-//!   score/doc-id ordering is preserved exactly.
-//!
-//! The upper-bound sums used for pruning (both the at-candidate bound and
-//! the non-essential-set bound) are folded in clause order too: if
-//! `u_i ≥ s_i ≥ 0` termwise, then every partial sum satisfies
-//! `fl(U + u_i) ≥ fl(S + s_i)` because rounding is monotone — so the
-//! bound provably dominates the score it stands in for, ULPs included.
+//! * per-term scores come from [`doc_score`], the expression the
+//!   exhaustive walker evaluates, with the same fuzzy damping applied
+//!   after it;
+//! * per-document scores are accumulated in *clause order* from `0.0`
+//!   (the order the exhaustive walker visits clauses), so each document's
+//!   sum is the same sequence of rounded additions and has the same bits;
+//! * top-k selection orders by [`Entry`](crate::score::Entry), a total
+//!   order on `(score, doc id)`, so the selected set and its tie-break
+//!   depend only on those bits.
 
 use crate::index::{Index, Posting};
 use crate::query::QueryNode;
-use crate::score::{doc_score, top_k, Entry, ScoredDoc, Scorer};
+use crate::score::{doc_score, top_k, ScoredDoc, Scorer};
 use crate::stats::CorpusStats;
 use create_obs::DaatStats;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cell::Cell;
 
 /// Reusable per-query scratch buffers, allocated once per `search` call
 /// and shared across all phrase nodes in the query tree.
@@ -42,10 +39,10 @@ struct Scratch {
     tmp: Vec<u32>,
 }
 
-/// DAAT entry point: MaxScore pruning for flat disjunctions, merge-based
-/// evaluation for everything else. `global`, when present, supplies
-/// cross-shard corpus statistics (idf / avg_len) in place of this
-/// index's own — see [`crate::stats`].
+/// Search entry point: term-at-a-time scoring for flat disjunctions,
+/// merge-based evaluation for everything else. `global`, when present,
+/// supplies cross-shard corpus statistics (idf / avg_len) in place of
+/// this index's own — see [`crate::stats`].
 pub(crate) fn search_daat(
     index: &Index,
     query: &QueryNode,
@@ -59,7 +56,7 @@ pub(crate) fn search_daat(
     let mut stats = DaatStats::default();
     let mut specs = Vec::new();
     if flatten(index, query, &mut specs, &mut stats) {
-        let hits = max_score_top_k(index, &specs, k, scorer, &mut stats, global, allowed);
+        let hits = term_at_a_time_top_k(index, &specs, k, scorer, &mut stats, global, allowed);
         create_obs::record_daat(stats);
         return hits;
     }
@@ -166,11 +163,16 @@ impl<'a> TermCursor<'a> {
         &self.postings[self.pos].positions
     }
 
-    /// This term's score contribution for the current document — the same
-    /// expression `term_scores` evaluates, so the bits match.
+    /// This term's score contribution for the current document.
     #[inline]
     fn score_at(&self, scorer: Scorer) -> f64 {
-        let p = &self.postings[self.pos];
+        self.score(&self.postings[self.pos], scorer)
+    }
+
+    /// This term's score contribution for posting `p` — the same
+    /// expression `term_scores` evaluates, so the bits match.
+    #[inline]
+    fn score(&self, p: &Posting, scorer: Scorer) -> f64 {
         let s = doc_score(
             scorer,
             self.idf,
@@ -183,30 +185,6 @@ impl<'a> TermCursor<'a> {
             Some(d) => s * d,
             None => s,
         }
-    }
-
-    /// Exact per-term score upper bound: the maximum per-doc score over
-    /// the posting list (one cheap pass, same formula as `score_at`).
-    fn max_score(&self, scorer: Scorer) -> f64 {
-        let mut ub = 0.0_f64;
-        for p in self.postings {
-            let s = doc_score(
-                scorer,
-                self.idf,
-                p.tf() as f64,
-                self.doc_len[p.doc as usize] as f64,
-                self.avg_len,
-                self.boost,
-            );
-            let s = match self.damp {
-                Some(d) => s * d,
-                None => s,
-            };
-            if s > ub {
-                ub = s;
-            }
-        }
-        ub
     }
 }
 
@@ -263,13 +241,36 @@ fn flatten<'a>(
     }
 }
 
-/// MaxScore-pruned DAAT union over flat term cursors. With `allowed`
-/// set, only docs in the (sorted) run are scored — candidates outside
-/// it are skipped *before* any score work, which is the filter
-/// pushdown the cohort planner relies on. Per-doc scores are
-/// independent sums, so surviving docs rank bit-identically to
-/// post-filtering an unfiltered search.
-fn max_score_top_k(
+/// Per-thread accumulator buffers for [`term_at_a_time_top_k`], kept
+/// between queries so a search neither allocates nor zeroes a
+/// shard-sized buffer.
+#[derive(Default)]
+struct Accumulator {
+    /// Clause-order score sum per shard-local doc id; all `0.0` between
+    /// queries.
+    scores: Vec<f64>,
+    /// Docs whose slot read `0.0` when a clause reached them. A doc can
+    /// appear twice (its sum can be zero between clauses); the collect
+    /// step takes its slot the first time and reads `0.0` after.
+    touched: Vec<u32>,
+    /// The `allowed` run as a mask; all `false` between queries.
+    allowed: Vec<bool>,
+}
+
+thread_local! {
+    /// Taken out for the length of a query and put back after it, so a
+    /// query that panics leaves no stale sums: the next one starts empty.
+    static ACCUMULATOR: Cell<Accumulator> = Cell::default();
+}
+
+/// Term-at-a-time union over flat term clauses: every clause's postings
+/// are walked in clause order, adding into a dense accumulator, then the
+/// top k are selected from the docs it reached. With `allowed` set, only
+/// docs in the (sorted) run are scored — postings outside it are skipped
+/// *before* any score work, which is the filter pushdown the cohort
+/// planner relies on. Per-doc scores are independent sums, so surviving
+/// docs rank bit-identically to post-filtering an unfiltered search.
+fn term_at_a_time_top_k(
     index: &Index,
     specs: &[CursorSpec],
     k: usize,
@@ -281,143 +282,55 @@ fn max_score_top_k(
     if k == 0 {
         return Vec::new();
     }
-    let mut cursors: Vec<TermCursor> = specs
-        .iter()
-        .filter_map(|s| TermCursor::open(index, s.field, s.term, s.damp, global))
-        .collect();
-    if cursors.is_empty() {
-        return Vec::new();
+    let mut acc = ACCUMULATOR.take();
+    let Accumulator {
+        scores,
+        touched,
+        allowed: mask,
+    } = &mut acc;
+    let n = index.num_docs();
+    // Ids past the last doc match no posting.
+    let allowed = allowed.map(|run| &run[..run.partition_point(|&d| (d as usize) < n)]);
+    if scores.len() < n {
+        scores.resize(n, 0.0);
+        mask.resize(n, false);
     }
-    let n = cursors.len();
-    let ubs: Vec<f64> = cursors.iter().map(|c| c.max_score(scorer)).collect();
-    // Ascending upper-bound order decides which cursors become
-    // non-essential first; ties break on clause index for determinism.
-    let mut by_ub: Vec<usize> = (0..n).collect();
-    by_ub.sort_by(|&a, &b| ubs[a].total_cmp(&ubs[b]).then(a.cmp(&b)));
-    let mut non_essential = vec![false; n];
-    let mut selected = vec![false; n];
-    let mut partition_theta = f64::NEG_INFINITY;
-    let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::with_capacity(k + 1);
-    // Monotone cursor into the allowed run: candidates only increase.
-    let mut allowed_pos = 0usize;
-    loop {
-        // Candidate: smallest current doc across the essential cursors.
-        // Docs living only in non-essential lists are the pruned ones.
-        let mut candidate: Option<u32> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            if non_essential[i] {
+    if let Some(allowed) = allowed {
+        for &d in allowed {
+            mask[d as usize] = true;
+        }
+    }
+    for spec in specs {
+        let Some(clause) = TermCursor::open(index, spec.field, spec.term, spec.damp, global) else {
+            continue;
+        };
+        stats.postings_advanced += clause.postings.len() as u64;
+        for p in clause.postings {
+            let d = p.doc as usize;
+            if allowed.is_some() && !mask[d] {
                 continue;
             }
-            if let Some(d) = c.current() {
-                candidate = Some(match candidate {
-                    Some(cd) if cd <= d => cd,
-                    _ => d,
-                });
+            let s = clause.score(p, scorer);
+            if scores[d] == 0.0 {
+                touched.push(p.doc);
             }
-        }
-        let Some(candidate) = candidate else { break };
-        if let Some(allowed) = allowed {
-            allowed_pos += allowed[allowed_pos..].partition_point(|&d| d < candidate);
-            if allowed.get(allowed_pos) != Some(&candidate) {
-                // Filtered out: skip all score/bound work for this doc.
-                for c in cursors.iter_mut() {
-                    if c.current() == Some(candidate) {
-                        c.advance();
-                    }
-                }
-                continue;
-            }
-        }
-        for (i, c) in cursors.iter_mut().enumerate() {
-            if non_essential[i] {
-                c.seek(candidate);
-            }
-        }
-        // Clause-order upper bound for this doc (dominates the clause-order
-        // score fold — see the module docs).
-        let mut bound = 0.0;
-        for (i, c) in cursors.iter().enumerate() {
-            if c.current() == Some(candidate) {
-                bound += ubs[i];
-            }
-        }
-        let full = heap.len() == k;
-        let prunable = full
-            && heap
-                .peek()
-                .is_some_and(|min| Entry(bound, candidate) <= min.0);
-        stats.candidates_pruned += prunable as u64;
-        if !prunable {
-            let mut score = 0.0;
-            for c in cursors.iter() {
-                if c.current() == Some(candidate) {
-                    score += c.score_at(scorer);
-                }
-            }
-            if score > 0.0 {
-                heap.push(Reverse(Entry(score, candidate)));
-                if heap.len() > k {
-                    heap.pop();
-                    stats.heap_evictions += 1;
-                }
-                if heap.len() == k {
-                    let theta = heap.peek().expect("heap is full").0 .0;
-                    if theta > partition_theta {
-                        partition_theta = theta;
-                        recompute_partition(&mut non_essential, &mut selected, &by_ub, &ubs, theta);
-                    }
-                }
-            }
-        }
-        for c in cursors.iter_mut() {
-            if c.current() == Some(candidate) {
-                c.advance();
-            }
+            scores[d] += s;
         }
     }
-    stats.postings_advanced += cursors.iter().map(|c| c.moves).sum::<u64>();
-    let mut entries: Vec<Entry> = heap.into_iter().map(|r| r.0).collect();
-    entries.sort_by(|a, b| b.cmp(a));
-    entries
-        .into_iter()
-        .map(|Entry(score, doc)| ScoredDoc {
-            doc,
-            external_id: index
-                .external_id(doc)
-                .expect("scored doc exists")
-                .to_string(),
-            score,
-        })
-        .collect()
-}
-
-/// Greedily grows the non-essential set smallest-upper-bound-first, but
-/// admits each set only if its *clause-order* bound sum stays strictly
-/// below `theta` — the sound criterion (a pruned doc's score is a
-/// clause-order fold over a subset of that set).
-fn recompute_partition(
-    non_essential: &mut [bool],
-    selected: &mut [bool],
-    by_ub: &[usize],
-    ubs: &[f64],
-    theta: f64,
-) {
-    non_essential.fill(false);
-    selected.fill(false);
-    for &idx in by_ub {
-        selected[idx] = true;
-        let mut sum = 0.0;
-        for (i, &sel) in selected.iter().enumerate() {
-            if sel {
-                sum += ubs[i];
-            }
-        }
-        if sum < theta {
-            non_essential[idx] = true;
-        } else {
-            break;
+    if let Some(allowed) = allowed {
+        for &d in allowed {
+            mask[d as usize] = false;
         }
     }
+    let hits = top_k(
+        index,
+        touched
+            .drain(..)
+            .map(|d| (d, std::mem::take(&mut scores[d as usize]))),
+        k,
+    );
+    ACCUMULATOR.set(acc);
+    hits
 }
 
 /// Evaluates a node into `(sorted scored docs, exclusion docs)`. The

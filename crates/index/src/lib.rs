@@ -18,9 +18,9 @@
 //!   query-string convenience;
 //! * [`score`] — BM25 (default, k1=1.2, b=0.75) and TF-IDF scoring with
 //!   top-k heap retrieval;
-//! * [`daat`] — document-at-a-time execution with galloping cursor
-//!   intersection and MaxScore top-k pruning, bit-identical to the
-//!   exhaustive baseline kept in [`score`];
+//! * [`daat`] — query execution: term-at-a-time accumulation for flat
+//!   disjunctions, galloping cursor intersection for `must` and phrases,
+//!   bit-identical to the exhaustive baseline kept in [`score`];
 //! * [`stats`] — mergeable cross-shard corpus statistics so sharded
 //!   scatter-gather search scores bit-identically to one monolithic
 //!   index.

@@ -3,8 +3,8 @@
 //! BM25 with the Lucene-standard parameters (`k1 = 1.2`, `b = 0.75`) is the
 //! default; TF-IDF is provided for the ranking ablation (E4 extension).
 //!
-//! [`Index::search`] executes document-at-a-time via [`crate::daat`]:
-//! cursor intersection for `must` and phrases, MaxScore pruning for flat
+//! [`Index::search`] executes via [`crate::daat`]: cursor intersection
+//! for `must` and phrases, term-at-a-time accumulation for flat
 //! disjunctions. [`Index::search_exhaustive`] is the original map-based
 //! walker, kept as the reference baseline — the equivalence suite asserts
 //! the two return bit-identical rankings, and `bench_search` measures the
@@ -117,8 +117,8 @@ impl Index {
     /// Runs a query and returns the top-`k` hits, highest score first.
     /// Ties break on internal doc id for determinism.
     ///
-    /// Executes document-at-a-time (see [`crate::daat`]); rankings are
-    /// bit-identical to [`Index::search_exhaustive`].
+    /// Executes via [`crate::daat`]; rankings are bit-identical to
+    /// [`Index::search_exhaustive`].
     pub fn search(&self, query: &QueryNode, k: usize, scorer: Scorer) -> Vec<ScoredDoc> {
         crate::daat::search_daat(self, query, k, scorer, None, None)
     }

@@ -22,7 +22,7 @@
 
 use crate::index::Index;
 use crate::query::QueryNode;
-use std::collections::HashMap;
+use create_util::fxhash::FxHashMap;
 
 /// Per-field corpus statistics: the raw integers behind `avg_len` and
 /// per-term document frequencies.
@@ -32,14 +32,19 @@ struct FieldStats {
     docs_with_field: usize,
     /// Document frequency per analyzed term (only terms the query can
     /// touch: query terms, phrase members, and fuzzy expansions).
-    df: HashMap<String, usize>,
+    df: FxHashMap<String, usize>,
 }
 
 /// Corpus-level statistics for one query, mergeable across shards.
+///
+/// Keyed with Fx rather than SipHash: collect and merge run per shard
+/// per query, the keys are analyzed query terms (bounded by the query's
+/// length), and the index dictionaries the df values come from already
+/// hash the same terms with Fx.
 #[derive(Debug, Clone, Default)]
 pub struct CorpusStats {
     num_docs: usize,
-    fields: HashMap<String, FieldStats>,
+    fields: FxHashMap<String, FieldStats>,
 }
 
 impl CorpusStats {
@@ -52,22 +57,28 @@ impl CorpusStats {
     pub fn collect(index: &Index, query: &QueryNode) -> CorpusStats {
         let mut stats = CorpusStats {
             num_docs: index.num_docs(),
-            fields: HashMap::new(),
+            fields: FxHashMap::default(),
         };
         stats.visit(index, query);
         stats
     }
 
     /// Folds another shard's contribution in. Integer sums only, so the
-    /// result is independent of merge order.
-    pub fn merge(&mut self, other: &CorpusStats) {
+    /// result is independent of merge order. Takes `other` by value so
+    /// its keys move instead of being cloned; the first merge into an
+    /// empty (default) value adopts `other` whole.
+    pub fn merge(&mut self, other: CorpusStats) {
+        if self.num_docs == 0 && self.fields.is_empty() {
+            *self = other;
+            return;
+        }
         self.num_docs += other.num_docs;
-        for (field, fs) in &other.fields {
-            let entry = self.fields.entry(field.clone()).or_default();
+        for (field, fs) in other.fields {
+            let entry = self.fields.entry(field).or_default();
             entry.total_len += fs.total_len;
             entry.docs_with_field += fs.docs_with_field;
-            for (term, df) in &fs.df {
-                *entry.df.entry(term.clone()).or_insert(0) += df;
+            for (term, df) in fs.df {
+                *entry.df.entry(term).or_insert(0) += df;
             }
         }
     }
@@ -113,16 +124,19 @@ impl CorpusStats {
             FieldStats {
                 total_len: fi.total_len,
                 docs_with_field: fi.docs_with_field,
-                df: HashMap::new(),
+                df: FxHashMap::default(),
             },
         );
     }
 
+    /// Records `term`'s df once; a repeated term (n-gram queries repeat
+    /// many) costs a lookup, not an allocation.
     fn record_term(&mut self, index: &Index, field: &str, term: &str) {
         self.record_field(index, field);
-        let df = index.doc_freq(field, term);
         if let Some(fs) = self.fields.get_mut(field) {
-            *fs.df.entry(term.to_string()).or_insert(0) = df;
+            if !fs.df.contains_key(term) {
+                fs.df.insert(term.to_string(), index.doc_freq(field, term));
+            }
         }
     }
 
@@ -141,8 +155,7 @@ impl CorpusStats {
             } => {
                 self.record_field(index, field);
                 for (expanded, _) in QueryNode::expand_fuzzy(index, field, term, *max_edits) {
-                    let expanded = expanded.to_string();
-                    self.record_term(index, field, &expanded);
+                    self.record_term(index, field, expanded);
                 }
             }
             QueryNode::Bool {
@@ -164,6 +177,7 @@ mod tests {
     use crate::index::{FieldConfig, Index};
     use crate::score::Scorer;
     use create_text::Analyzer;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     fn body_index() -> Index {
@@ -224,7 +238,7 @@ mod tests {
         }
         for q in queries() {
             let mut merged = CorpusStats::collect(&even, &q);
-            merged.merge(&CorpusStats::collect(&odd, &q));
+            merged.merge(CorpusStats::collect(&odd, &q));
             let reference: HashMap<String, u64> = whole
                 .search(&q, 10, Scorer::default())
                 .into_iter()

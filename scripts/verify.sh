@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Offline verification gate: tier-1 build+tests, the parallel-determinism
-# suite, a bench smoke run, the observability smoke check, and the
-# instrumentation-overhead gate. No network access required.
+# Offline verification gate: tier-1 build+tests, the socket-to-socket
+# benchmark's own tests, the parallel-determinism suite, a bench smoke
+# run, the observability smoke check, and the instrumentation-overhead
+# gate. No network access required.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,6 +13,9 @@ cargo build --release
 
 echo "== tier-1: test suite =="
 cargo test -q
+
+echo "== benchmark self-tests: tiny-corpus smoke of every workload =="
+cargo test --release --manifest-path bench_e2e/Cargo.toml
 
 echo "== determinism: parallel batch ingestion =="
 cargo test -q --test parallel_determinism
