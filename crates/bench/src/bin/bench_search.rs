@@ -23,10 +23,13 @@ use create_docstore::Value;
 use create_index::{score::Scorer, Index, QueryNode};
 use create_text::Analyzer;
 use create_util::Rng;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const K: usize = 10;
 const REPS: usize = 3;
+/// Minimum length of one timed rep: short query lists are cycled until a
+/// rep covers this much wall time, so no rep is a sub-millisecond sample.
+const MIN_REP: Duration = Duration::from_millis(50);
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -221,17 +224,27 @@ fn main() {
     eprintln!("wrote {out_path}");
 }
 
-/// Best-of-R queries/sec for one executor over a workload.
+/// Best-of-R queries/sec for one executor over a workload. Each rep runs
+/// the whole query list repeatedly until it has lasted at least
+/// [`MIN_REP`]; its rate is queries run / elapsed.
 fn best_qps(queries: &[QueryNode], mut run: impl FnMut(&QueryNode)) -> f64 {
-    let mut best_secs = f64::INFINITY;
+    let mut best = 0.0_f64;
     for _ in 0..REPS {
         let started = Instant::now();
-        for q in queries {
-            run(q);
-        }
-        best_secs = best_secs.min(started.elapsed().as_secs_f64());
+        let mut ran = 0;
+        let elapsed = loop {
+            for q in queries {
+                run(q);
+            }
+            ran += queries.len();
+            let elapsed = started.elapsed();
+            if elapsed >= MIN_REP {
+                break elapsed;
+            }
+        };
+        best = best.max(ran as f64 / elapsed.as_secs_f64());
     }
-    queries.len() as f64 / best_secs
+    best
 }
 
 fn pick_term(rng: &mut Rng, analyzed: &[Vec<String>]) -> String {

@@ -7,8 +7,8 @@
 //! deterministic rendering of the full normalized plan — see
 //! [`QueryPlan::canonical_key`](crate::plan::QueryPlan::canonical_key) —
 //! so equivalent plan spellings share an entry and distinct plans never
-//! collide) plus `k` and the merge policy, and every entry is stamped
-//! with the *index generation* current when it was computed; the
+//! collide; `k` and the merge policy are part of it), and every entry is
+//! stamped with the *index generation* current when it was computed; the
 //! [`Create`](crate::Create) facade bumps the generation on every write
 //! path. A lookup whose stamp no longer matches is treated as a miss and
 //! evicted, so a cached result can never outlive the state it was
@@ -19,23 +19,19 @@
 //! touched entry and the tail is the eviction victim, so every cache
 //! operation — lookup, touch, insert, evict — is O(1).
 
-use crate::search::{MergePolicy, SearchHit};
+use crate::search::SearchHit;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Cache key: everything the merged result depends on besides system
-/// state. The string element is the plan's canonical key, not the raw
-/// query text — `k` and the policy also appear inside it, but they stay
-/// explicit tuple elements so lookups stay type-checked.
-type CacheKey = (String, usize, MergePolicy);
 
 /// Sentinel slab index for "no neighbour" / "empty list".
 const NIL: usize = usize::MAX;
 
-/// A slab slot: the cached result plus its recency-list links. The key is
-/// `Arc`-shared with the lookup map so it is stored once.
+/// A slab slot: the cached result plus its recency-list links. The key —
+/// the plan's canonical key, everything the merged result depends on
+/// besides system state — is `Arc`-shared with the lookup map so it is
+/// stored once.
 struct CacheEntry {
-    key: Arc<CacheKey>,
+    key: Arc<str>,
     /// Index generation at compute time; a mismatch invalidates the entry.
     generation: u64,
     hits: Vec<SearchHit>,
@@ -65,7 +61,7 @@ pub(crate) struct QueryCache {
     hits: u64,
     misses: u64,
     /// key → slab slot.
-    map: HashMap<Arc<CacheKey>, usize>,
+    map: HashMap<Arc<str>, usize>,
     /// Entry storage; slots are recycled through `free`, never shrunk.
     slab: Vec<Option<CacheEntry>>,
     free: Vec<usize>,
@@ -159,17 +155,11 @@ impl QueryCache {
         self.free.push(slot);
     }
 
-    /// Returns the cached hits for the key when present *and* computed at
-    /// `generation`; stale entries are dropped and counted as misses.
-    pub(crate) fn get(
-        &mut self,
-        plan_key: &str,
-        k: usize,
-        policy: MergePolicy,
-        generation: u64,
-    ) -> Option<Vec<SearchHit>> {
-        let key = (plan_key.to_string(), k, policy);
-        match self.map.get(&key).copied() {
+    /// Returns the cached hits for the plan key when present *and*
+    /// computed at `generation`; stale entries are dropped and counted as
+    /// misses.
+    pub(crate) fn get(&mut self, plan_key: &str, generation: u64) -> Option<Vec<SearchHit>> {
+        match self.map.get(plan_key).copied() {
             Some(slot) if self.entry(slot).generation == generation => {
                 self.unlink(slot);
                 self.push_front(slot);
@@ -191,19 +181,11 @@ impl QueryCache {
 
     /// Stores a computed result stamped with the generation it was
     /// computed under, evicting the least-recently-used entry on overflow.
-    pub(crate) fn insert(
-        &mut self,
-        plan_key: &str,
-        k: usize,
-        policy: MergePolicy,
-        generation: u64,
-        hits: Vec<SearchHit>,
-    ) {
+    pub(crate) fn insert(&mut self, plan_key: &str, generation: u64, hits: Vec<SearchHit>) {
         if self.capacity == 0 {
             return;
         }
-        let key = (plan_key.to_string(), k, policy);
-        if let Some(slot) = self.map.get(&key).copied() {
+        if let Some(slot) = self.map.get(plan_key).copied() {
             // Refresh in place and move to the front.
             let e = self.entry_mut(slot);
             e.generation = generation;
@@ -217,7 +199,7 @@ impl QueryCache {
             debug_assert_ne!(victim, NIL, "full cache has a tail");
             self.remove(victim);
         }
-        let key = Arc::new(key);
+        let key: Arc<str> = Arc::from(plan_key);
         let entry = CacheEntry {
             key: Arc::clone(&key),
             generation,
@@ -266,9 +248,9 @@ mod tests {
     #[test]
     fn hit_after_insert_same_generation() {
         let mut cache = QueryCache::new(4);
-        assert!(cache.get("q", 5, MergePolicy::Neo4jFirst, 0).is_none());
-        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, vec![hit("a")]);
-        let got = cache.get("q", 5, MergePolicy::Neo4jFirst, 0).unwrap();
+        assert!(cache.get("q", 0).is_none());
+        cache.insert("q", 0, vec![hit("a")]);
+        let got = cache.get("q", 0).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].report_id, "a");
         let stats = cache.stats(0);
@@ -278,47 +260,38 @@ mod tests {
     #[test]
     fn generation_mismatch_is_a_miss_and_evicts() {
         let mut cache = QueryCache::new(4);
-        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, vec![hit("a")]);
-        assert!(cache.get("q", 5, MergePolicy::Neo4jFirst, 1).is_none());
+        cache.insert("q", 0, vec![hit("a")]);
+        assert!(cache.get("q", 1).is_none());
         assert_eq!(cache.stats(1).entries, 0, "stale entry dropped");
-    }
-
-    #[test]
-    fn key_includes_k_and_policy() {
-        let mut cache = QueryCache::new(8);
-        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, vec![hit("a")]);
-        assert!(cache.get("q", 6, MergePolicy::Neo4jFirst, 0).is_none());
-        assert!(cache.get("q", 5, MergePolicy::EsOnly, 0).is_none());
-        assert!(cache.get("q", 5, MergePolicy::Neo4jFirst, 0).is_some());
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut cache = QueryCache::new(2);
-        cache.insert("a", 5, MergePolicy::Neo4jFirst, 0, vec![]);
-        cache.insert("b", 5, MergePolicy::Neo4jFirst, 0, vec![]);
+        cache.insert("a", 0, vec![]);
+        cache.insert("b", 0, vec![]);
         // Touch "a" so "b" becomes the eviction victim.
-        assert!(cache.get("a", 5, MergePolicy::Neo4jFirst, 0).is_some());
-        cache.insert("c", 5, MergePolicy::Neo4jFirst, 0, vec![]);
-        assert!(cache.get("a", 5, MergePolicy::Neo4jFirst, 0).is_some());
-        assert!(cache.get("b", 5, MergePolicy::Neo4jFirst, 0).is_none());
-        assert!(cache.get("c", 5, MergePolicy::Neo4jFirst, 0).is_some());
+        assert!(cache.get("a", 0).is_some());
+        cache.insert("c", 0, vec![]);
+        assert!(cache.get("a", 0).is_some());
+        assert!(cache.get("b", 0).is_none());
+        assert!(cache.get("c", 0).is_some());
     }
 
     #[test]
     fn zero_capacity_never_stores() {
         let mut cache = QueryCache::new(0);
-        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, vec![hit("a")]);
-        assert!(cache.get("q", 5, MergePolicy::Neo4jFirst, 0).is_none());
+        cache.insert("q", 0, vec![hit("a")]);
+        assert!(cache.get("q", 0).is_none());
     }
 
     #[test]
     fn reinsert_same_key_refreshes_in_place() {
         let mut cache = QueryCache::new(2);
-        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, vec![hit("a")]);
-        cache.insert("q", 5, MergePolicy::Neo4jFirst, 1, vec![hit("b")]);
+        cache.insert("q", 0, vec![hit("a")]);
+        cache.insert("q", 1, vec![hit("b")]);
         assert_eq!(cache.stats(1).entries, 1, "refresh does not duplicate");
-        let got = cache.get("q", 5, MergePolicy::Neo4jFirst, 1).unwrap();
+        let got = cache.get("q", 1).unwrap();
         assert_eq!(got[0].report_id, "b");
     }
 
@@ -330,17 +303,17 @@ mod tests {
         for round in 0u64..5 {
             for name in ["x", "y", "z"] {
                 let q = format!("{name}{round}");
-                cache.insert(&q, 1, MergePolicy::Neo4jFirst, 0, vec![]);
+                cache.insert(&q, 0, vec![]);
             }
             // Touch in reverse so "z{round}" is LRU, then overflow once.
             for name in ["y", "x"] {
                 let q = format!("{name}{round}");
-                assert!(cache.get(&q, 1, MergePolicy::Neo4jFirst, 0).is_some());
+                assert!(cache.get(&q, 0).is_some());
             }
-            cache.insert("overflow", 1, MergePolicy::Neo4jFirst, 0, vec![]);
+            cache.insert("overflow", 0, vec![]);
             let z = format!("z{round}");
             assert!(
-                cache.get(&z, 1, MergePolicy::Neo4jFirst, 0).is_none(),
+                cache.get(&z, 0).is_none(),
                 "round {round}: LRU entry evicted"
             );
             assert_eq!(cache.stats(0).entries, 3);

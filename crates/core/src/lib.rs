@@ -20,8 +20,8 @@
 //! * [`cache`] — generation-stamped LRU cache over merged search results,
 //!   keyed by the canonical plan;
 //! * [`plan`] — the typed query-plan IR: lowering, normalization, and the
-//!   cohort-retrieval executor (filter pushdown over facet bitmaps plus
-//!   temporal-interval constraints);
+//!   one executor `/search` and `/cohort` share (engine legs, filter
+//!   pushdown over facet bitmaps, temporal-interval constraints, merge);
 //! * [`durability`] — WAL/segment/manifest glue onto `create-storage`;
 //! * [`system`] — the [`Create`] facade tying it all together.
 

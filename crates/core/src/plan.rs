@@ -11,26 +11,35 @@
 //! query-cache key (two spellings of one plan share a cache entry; two
 //! plans that differ anywhere never collide).
 //!
-//! Execution is per shard and bit-deterministic across shard counts:
+//! `execute` is the one query executor: `/search` (after a cache miss)
+//! and `/cohort` both run their plans through it. It groups the nodes by
+//! kind and runs one stage per kind, per shard, bit-deterministically
+//! across shard counts:
 //!
-//! 1. **Filter** — each [`PlanNode::Filter`] unions its value runs from
-//!    the shard's [`FacetIndex`] and the filters intersect into one
-//!    sorted eligibility run (counted by
-//!    `create_bitmap_intersections_total`);
-//! 2. **Temporal** — each candidate report's events are lifted into a
-//!    [`TemporalGraph`] and every [`PlanNode::Temporal`] constraint must
-//!    be realized (transitively, Fig. 5) by some event pair;
-//! 3. **Keyword** — when the plan scores by keywords, each shard runs
-//!    BM25 under *merged* corpus statistics restricted to its eligible
-//!    run ([`Index::search_filtered`] — the pushdown). The naive mode
-//!    ([`PlanMode::Naive`]) ranks exhaustively and post-filters instead;
-//!    the two are bit-identical, which the equivalence suite asserts.
-//! 4. **FacetCount / Merge** — facet counts aggregate over the criteria-
-//!    eligible set (filters + temporal, independent of `k`), and the
-//!    per-shard top-k gather under `(score desc, ingest ordinal asc)` —
-//!    the same tie-break `shard_equivalence` locks in for search.
+//! | Node | Stage | Stage span | Per-shard span |
+//! |---|---|---|---|
+//! | [`PlanNode::Filter`] | union each filter's [`FacetIndex`] value runs, intersect across filters (`create_bitmap_intersections_total`) | `filter` | `cohort_shard` |
+//! | [`PlanNode::Temporal`] | keep docs whose events realize every constraint, transitively (Fig. 5) through a [`TemporalGraph`] | `temporal` | `cohort_shard` |
+//! | [`PlanNode::GraphMatch`] | the graph engine over the node's concepts and pattern | `graph_search` | `graph_shard` |
+//! | [`PlanNode::Keyword`] | BM25 under merged corpus statistics, restricted to the eligible runs when there are any ([`Index::search_filtered`] — the pushdown) | `keyword_search` | `keyword_shard` |
+//! | [`PlanNode::FacetCount`] | per-value counts over the eligible set (independent of `k`) | `facet_count` | `cohort_shard` |
+//! | [`PlanNode::Merge`] | [`merge`] of the two legs under the policy, capped at `k` | `merge` | — |
+//!
+//! Stage spans record into `create_query_stage_seconds`; the filter and
+//! temporal spans appear only when the plan has such nodes. Without a
+//! scoring node the eligible documents are listed in ingest order. The
+//! naive mode ([`PlanMode::Naive`]) ranks exhaustively and post-filters
+//! instead of pushing the eligible runs down; the two are bit-identical,
+//! which the equivalence suite asserts. Per-shard hits gather under
+//! `(score desc, ingest ordinal asc)` — the tie-break `shard_equivalence`
+//! locks in.
+//!
+//! [`Index::search_filtered`]: create_index::Index::search_filtered
 
-use crate::search::{MergePolicy, SearchHit, SearchSource};
+use crate::search::{
+    graph_search, keyword_query, merge, rank_graph_hits, report_node, MergePolicy, SearchHit,
+    SearchSource,
+};
 use crate::system::ShardSnapshot;
 use create_docstore::json::obj;
 use create_docstore::Value;
@@ -263,20 +272,6 @@ impl QueryPlan {
         if create_obs::enabled() {
             create_obs::counter(obs_names::PLAN_NODES_TOTAL).inc_by(self.nodes.len() as u64);
         }
-    }
-
-    /// True when the plan has a graph-engine leg.
-    pub(crate) fn has_graph(&self) -> bool {
-        self.nodes
-            .iter()
-            .any(|n| matches!(n, PlanNode::GraphMatch { .. }))
-    }
-
-    /// True when the plan has a keyword-scoring leg.
-    pub(crate) fn has_keyword(&self) -> bool {
-        self.nodes
-            .iter()
-            .any(|n| matches!(n, PlanNode::Keyword { .. }))
     }
 }
 
@@ -558,136 +553,108 @@ struct ReportEvent {
     step: Option<f64>,
 }
 
-/// The per-shard temporal checker: resolves reports to graph nodes once,
-/// then evaluates constraints per candidate document.
-struct TemporalChecker<'a> {
-    shard: &'a ShardSnapshot,
-    report_nodes: HashMap<String, NodeId>,
-}
-
-impl<'a> TemporalChecker<'a> {
-    fn new(shard: &'a ShardSnapshot) -> TemporalChecker<'a> {
-        let graph = &shard.graph;
-        let mut report_nodes = HashMap::new();
-        for id in graph.nodes_with_label("Report") {
-            if let Some(rid) = graph
-                .node(id)
-                .and_then(|n| n.props.get("reportId"))
-                .and_then(|v| v.as_str())
-            {
-                report_nodes.insert(rid.to_string(), id);
-            }
-        }
-        TemporalChecker {
-            shard,
-            report_nodes,
-        }
-    }
-
-    /// Loads a document's events and the temporal graph over them.
-    fn events_of(&self, doc: u32) -> Option<(Vec<ReportEvent>, TemporalGraph)> {
-        let rid = self.shard.index.external_id(doc)?;
-        let graph = &self.shard.graph;
-        let &report = self.report_nodes.get(rid)?;
-        let event_nodes: Vec<NodeId> = graph
-            .outgoing(report)
-            .into_iter()
-            .filter(|e| e.rel_type == "CONTAINS")
-            .map(|e| e.target)
-            .collect();
-        let index_of: HashMap<NodeId, usize> = event_nodes
+/// Loads a document's events and the temporal graph over them.
+fn events_of(shard: &ShardSnapshot, doc: u32) -> Option<(Vec<ReportEvent>, TemporalGraph)> {
+    let graph = &shard.graph;
+    let report = report_node(graph, shard.index.external_id(doc)?)?;
+    let event_nodes: Vec<NodeId> = graph
+        .outgoing(report)
+        .into_iter()
+        .filter(|e| e.rel_type == "CONTAINS")
+        .map(|e| e.target)
+        .collect();
+    let index_of: HashMap<NodeId, usize> = event_nodes
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| (n, i))
+        .collect();
+    let mut events = Vec::with_capacity(event_nodes.len());
+    let mut tg = TemporalGraph::new(
+        event_nodes
             .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i))
-            .collect();
-        let mut events = Vec::with_capacity(event_nodes.len());
-        let mut tg = TemporalGraph::new(
-            event_nodes
-                .iter()
-                .map(|&n| format!("event-{n:?}"))
-                .collect(),
-        );
-        for (i, &node) in event_nodes.iter().enumerate() {
-            let n = graph.node(node)?;
-            events.push(ReportEvent {
-                cui: n
-                    .props
-                    .get("cui")
-                    .and_then(|v| v.as_str())
-                    .and_then(ConceptId::parse),
-                step: n.props.get("step").and_then(|v| v.as_f64()),
-            });
-            for edge in graph.outgoing(node) {
-                let rel = match edge.rel_type.as_str() {
-                    "BEFORE" => RelationType::Before,
-                    "OVERLAP" => RelationType::Overlap,
-                    _ => continue,
-                };
-                if let Some(&j) = index_of.get(&edge.target) {
-                    if i != j {
-                        tg.add_edge(i, j, rel);
-                    }
+            .map(|&n| format!("event-{n:?}"))
+            .collect(),
+    );
+    for (i, &node) in event_nodes.iter().enumerate() {
+        let n = graph.node(node)?;
+        events.push(ReportEvent {
+            cui: n
+                .props
+                .get("cui")
+                .and_then(|v| v.as_str())
+                .and_then(ConceptId::parse),
+            step: n.props.get("step").and_then(|v| v.as_f64()),
+        });
+        for edge in graph.outgoing(node) {
+            let rel = match edge.rel_type.as_str() {
+                "BEFORE" => RelationType::Before,
+                "OVERLAP" => RelationType::Overlap,
+                _ => continue,
+            };
+            if let Some(&j) = index_of.get(&edge.target) {
+                if i != j {
+                    tg.add_edge(i, j, rel);
                 }
             }
         }
-        Some((events, tg))
     }
+    Some((events, tg))
+}
 
-    /// True when the document realizes every constraint: for each, some
-    /// event pair mentioning the two concepts must satisfy the operator —
-    /// derived transitively through the temporal graph when possible,
-    /// falling back to the events' timeline steps (the ground truth the
-    /// graph's edges were built from) when the relation is not derivable
-    /// from explicit edges.
-    fn satisfies_all(&self, doc: u32, constraints: &[&TemporalConstraint]) -> bool {
-        let Some((events, tg)) = self.events_of(doc) else {
-            return false;
+/// True when the document realizes every constraint: for each, some
+/// event pair mentioning the two concepts must satisfy the operator —
+/// derived transitively through the temporal graph when possible,
+/// falling back to the events' timeline steps (the ground truth the
+/// graph's edges were built from) when the relation is not derivable
+/// from explicit edges.
+fn satisfies_all(shard: &ShardSnapshot, doc: u32, constraints: &[&TemporalConstraint]) -> bool {
+    let Some((events, tg)) = events_of(shard, doc) else {
+        return false;
+    };
+    constraints.iter().all(|c| {
+        let of = |concept: ConceptId| -> Vec<usize> {
+            events
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.cui == Some(concept))
+                .map(|(i, _)| i)
+                .collect()
         };
-        constraints.iter().all(|c| {
-            let of = |concept: ConceptId| -> Vec<usize> {
-                events
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.cui == Some(concept))
-                    .map(|(i, _)| i)
-                    .collect()
-            };
-            let az = of(c.a);
-            let bz = of(c.b);
-            az.iter().any(|&ia| {
-                bz.iter().any(|&ib| match c.op {
-                    TemporalOp::Within(days) => match (events[ia].step, events[ib].step) {
-                        (Some(sa), Some(sb)) => {
-                            (sa - sb).abs() * f64::from(STEP_DAYS) <= f64::from(days)
-                        }
-                        _ => false,
-                    },
-                    op => {
-                        let rel = match op {
-                            TemporalOp::Before => RelationType::Before,
-                            TemporalOp::After => RelationType::After,
-                            TemporalOp::Overlaps => RelationType::Overlap,
-                            TemporalOp::Within(_) => unreachable!("handled above"),
-                        };
-                        if ia != ib {
-                            if let Some(derived) = tg.infer(ia, ib) {
-                                return derived == rel;
-                            }
-                        }
-                        match (events[ia].step, events[ib].step) {
-                            (Some(sa), Some(sb)) => match rel {
-                                RelationType::Before => sa < sb,
-                                RelationType::After => sa > sb,
-                                RelationType::Overlap => (sa - sb).abs() < f64::EPSILON,
-                                _ => false,
-                            },
-                            _ => false,
+        let az = of(c.a);
+        let bz = of(c.b);
+        az.iter().any(|&ia| {
+            bz.iter().any(|&ib| match c.op {
+                TemporalOp::Within(days) => match (events[ia].step, events[ib].step) {
+                    (Some(sa), Some(sb)) => {
+                        (sa - sb).abs() * f64::from(STEP_DAYS) <= f64::from(days)
+                    }
+                    _ => false,
+                },
+                op => {
+                    let rel = match op {
+                        TemporalOp::Before => RelationType::Before,
+                        TemporalOp::After => RelationType::After,
+                        TemporalOp::Overlaps => RelationType::Overlap,
+                        TemporalOp::Within(_) => unreachable!("handled above"),
+                    };
+                    if ia != ib {
+                        if let Some(derived) = tg.infer(ia, ib) {
+                            return derived == rel;
                         }
                     }
-                })
+                    match (events[ia].step, events[ib].step) {
+                        (Some(sa), Some(sb)) => match rel {
+                            RelationType::Before => sa < sb,
+                            RelationType::After => sa > sb,
+                            RelationType::Overlap => (sa - sb).abs() < f64::EPSILON,
+                            _ => false,
+                        },
+                        _ => false,
+                    }
+                }
             })
         })
-    }
+    })
 }
 
 /// Counts a bitmap intersection into `create_bitmap_intersections_total`.
@@ -697,13 +664,9 @@ fn note_intersections(n: u64) {
     }
 }
 
-/// The sorted doc-id run a shard's filters admit: per filter, the union
-/// of its value runs; across filters, the intersection. No filters means
-/// every document.
-fn shard_filter_run(facets: &FacetIndex, num_docs: u32, filters: &[&FacetFilter]) -> Vec<u32> {
-    if filters.is_empty() {
-        return (0..num_docs).collect();
-    }
+/// The sorted doc-id run a shard's (non-empty) filters admit: per
+/// filter, the union of its value runs; across filters, the intersection.
+fn shard_filter_run(facets: &FacetIndex, filters: &[&FacetFilter]) -> Vec<u32> {
     let mut acc: Option<Vec<u32>> = None;
     for filter in filters {
         let runs: Vec<&[u32]> = filter
@@ -726,141 +689,219 @@ fn shard_filter_run(facets: &FacetIndex, num_docs: u32, filters: &[&FacetFilter]
     acc.unwrap_or_default()
 }
 
-/// Executes a cohort plan over a snapshot's shards.
-///
-/// Stage spans (`filter`, `temporal`, `keyword_search`, `facet_count`,
-/// `merge`) record into the shared query-stage histogram; per-shard work
-/// runs under `cohort_shard` spans, mirroring the search scatter.
-pub(crate) fn execute_cohort(
+/// Executes a plan over a snapshot's shards — the one query executor
+/// behind both `/search` and `/cohort`. The module docs map each node to
+/// its stage and spans; rankings are bit-identical for any shard count.
+pub(crate) fn execute(
     shards: &[Arc<ShardSnapshot>],
     plan: &QueryPlan,
     mode: PlanMode,
 ) -> CohortResult {
-    plan.note_nodes();
     let mut filters: Vec<&FacetFilter> = Vec::new();
     let mut temporals: Vec<&TemporalConstraint> = Vec::new();
+    let mut graph = None;
     let mut keyword: Option<&str> = None;
     let mut facet_fields: Vec<FacetField> = Vec::new();
-    let mut k = DEFAULT_COHORT_K;
+    let (mut policy, mut k) = (MergePolicy::EsOnly, DEFAULT_COHORT_K);
     for node in &plan.nodes {
         match node {
             PlanNode::Filter(f) => filters.push(f),
             PlanNode::Temporal(t) => temporals.push(t),
+            PlanNode::GraphMatch { concepts, pattern } => graph = Some((concepts, *pattern)),
             PlanNode::Keyword { text } => keyword = Some(text),
             PlanNode::FacetCount { field } => facet_fields.push(*field),
-            PlanNode::Merge { k: cap, .. } => k = *cap,
-            PlanNode::GraphMatch { .. } => {}
+            PlanNode::Merge {
+                policy: merge_policy,
+                k: cap,
+            } => (policy, k) = (*merge_policy, *cap),
         }
     }
+    let eligible = eligible_runs(shards, &filters, &temporals);
+    let eligible = eligible.as_deref();
 
-    // 1) Filter: one sorted eligibility run per shard.
-    let mut eligible: Vec<Vec<u32>> = {
+    let graph_hits = graph.map(|(concepts, pattern)| {
+        let _span = Span::enter(
+            obs_names::QUERY_STAGE_SECONDS,
+            obs_names::QSTAGE_GRAPH_SEARCH,
+        );
+        graph_leg(shards, concepts, pattern, k)
+    });
+    let keyword_hits = match keyword {
+        Some(text) => {
+            let _span = Span::enter(
+                obs_names::QUERY_STAGE_SECONDS,
+                obs_names::QSTAGE_KEYWORD_SEARCH,
+            );
+            keyword_leg(shards, text, k, eligible, mode)
+        }
+        None if graph_hits.is_none() => ingest_order(shards, eligible, k),
+        None => Vec::new(),
+    };
+
+    let facets = if facet_fields.is_empty() {
+        Vec::new()
+    } else {
+        let _span = Span::enter(
+            obs_names::QUERY_STAGE_SECONDS,
+            obs_names::QSTAGE_FACET_COUNT,
+        );
+        facet_counts(shards, &facet_fields, eligible)
+    };
+
+    let hits = {
+        let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_MERGE);
+        merge(graph_hits.unwrap_or_default(), keyword_hits, policy, k)
+    };
+    let total_matched = match eligible {
+        Some(runs) => runs.iter().map(|run| run.len() as u64).sum(),
+        None => shards.iter().map(|s| s.index.num_docs() as u64).sum(),
+    };
+    CohortResult {
+        hits,
+        total_matched,
+        facets,
+    }
+}
+
+/// The `Filter` and `Temporal` stages: one sorted eligible doc-id run per
+/// shard, or `None` when the plan restricts nothing (every document is
+/// eligible).
+fn eligible_runs(
+    shards: &[Arc<ShardSnapshot>],
+    filters: &[&FacetFilter],
+    temporals: &[&TemporalConstraint],
+) -> Option<Vec<Vec<u32>>> {
+    if filters.is_empty() && temporals.is_empty() {
+        return None;
+    }
+    let mut runs: Vec<Vec<u32>> = if filters.is_empty() {
+        shards
+            .iter()
+            .map(|shard| (0..shard.index.num_docs() as u32).collect())
+            .collect()
+    } else {
         let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_FILTER);
         shards
             .iter()
             .enumerate()
             .map(|(no, shard)| {
                 let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
-                shard_filter_run(&shard.facets, shard.index.num_docs() as u32, &filters)
+                shard_filter_run(&shard.facets, filters)
             })
             .collect()
     };
-
-    // 2) Temporal: prune candidates that fail any interval constraint.
     if !temporals.is_empty() {
         let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_TEMPORAL);
         for (no, shard) in shards.iter().enumerate() {
             let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
-            let checker = TemporalChecker::new(shard);
-            eligible[no].retain(|&doc| checker.satisfies_all(doc, &temporals));
+            runs[no].retain(|&doc| satisfies_all(shard, doc, temporals));
         }
     }
+    Some(runs)
+}
 
-    // 3) Rank: BM25 under merged corpus statistics restricted to the
-    // eligible runs (pushdown), or exhaustively-then-filter (naive) —
-    // bit-identical by construction. Without keywords, ingest order.
-    let mut gathered: Vec<(f64, u64, String)> = Vec::new();
-    match keyword {
-        Some(text) => {
-            let _span = Span::enter(
-                obs_names::QUERY_STAGE_SECONDS,
-                obs_names::QSTAGE_KEYWORD_SEARCH,
-            );
-            let q = crate::search::keyword_query(&shards[0].index, text);
-            // Merged stats even at N=1 so the scoring formula's inputs
-            // are shard-count-invariant by construction.
-            let mut stats = CorpusStats::default();
-            for shard in shards {
-                stats.merge(CorpusStats::collect(&shard.index, &q));
-            }
-            for (no, shard) in shards.iter().enumerate() {
-                let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
+/// The graph leg. A report's whole neighbourhood — events, mentions,
+/// temporal edges — lives in its owning shard, so each hit's score is
+/// shard-local and the gathered per-shard lists, re-ranked under the
+/// engine's own total order, are exactly the single-graph ranking.
+fn graph_leg(
+    shards: &[Arc<ShardSnapshot>],
+    concepts: &[ConceptId],
+    pattern: Option<(ConceptId, ConceptId, RelationType)>,
+    k: usize,
+) -> Vec<SearchHit> {
+    let mut hits = Vec::new();
+    for (no, shard) in shards.iter().enumerate() {
+        let _shard = create_obs::shard_span(obs_names::SPAN_GRAPH_SHARD, no as u32);
+        hits.extend(graph_search(&shard.graph, concepts, pattern, k));
+    }
+    rank_graph_hits(&mut hits, k);
+    hits
+}
+
+/// The keyword leg: per-shard BM25 top-k under merged corpus statistics,
+/// restricted to the eligible runs when there are any.
+///
+/// Summing the statistics across shards gives every shard the idf and
+/// average lengths one global index would use, so per-document scores are
+/// bit-identical to the unsharded engine; a single shard's own statistics
+/// are those same integers, so N=1 skips the merge (see
+/// `create_index::stats`). [`PlanMode::Naive`] ranks every document and
+/// post-filters instead of pushing the runs down — bit-identical too.
+fn keyword_leg(
+    shards: &[Arc<ShardSnapshot>],
+    text: &str,
+    k: usize,
+    eligible: Option<&[Vec<u32>]>,
+    mode: PlanMode,
+) -> Vec<SearchHit> {
+    let q = keyword_query(&shards[0].index, text);
+    let stats = (shards.len() > 1).then(|| {
+        let mut stats = CorpusStats::default();
+        for shard in shards {
+            stats.merge(CorpusStats::collect(&shard.index, &q));
+        }
+        stats
+    });
+    let stats = stats.as_ref();
+    let mut gathered = Vec::with_capacity(shards.len() * k);
+    for (no, shard) in shards.iter().enumerate() {
+        let _shard = create_obs::shard_span(obs_names::SPAN_KEYWORD_SHARD, no as u32);
+        let index = &shard.index;
+        let scored = match (eligible, mode) {
+            (None, _) => index.search_with_stats(&q, k, Scorer::default(), stats),
+            (Some(runs), PlanMode::Optimized) => {
                 note_intersections(1);
-                let scored = match mode {
-                    PlanMode::Optimized => shard.index.search_filtered(
-                        &q,
-                        k,
-                        Scorer::default(),
-                        Some(&stats),
-                        &eligible[no],
-                    ),
-                    PlanMode::Naive => {
-                        let all = shard.index.search_with_stats(
-                            &q,
-                            shard.index.num_docs(),
-                            Scorer::default(),
-                            Some(&stats),
-                        );
-                        all.into_iter()
-                            .filter(|s| eligible[no].binary_search(&s.doc).is_ok())
-                            .take(k)
-                            .collect()
-                    }
-                };
-                for s in scored {
-                    gathered.push((s.score, shard.ordinals[s.doc as usize], s.external_id));
-                }
+                index.search_filtered(&q, k, Scorer::default(), stats, &runs[no])
             }
-        }
-        None => {
-            for (no, shard) in shards.iter().enumerate() {
-                for &doc in eligible[no].iter().take(k) {
-                    let id = shard
-                        .index
-                        .external_id(doc)
-                        .unwrap_or_default()
-                        .to_string();
-                    gathered.push((0.0, shard.ordinals[doc as usize], id));
-                }
+            (Some(runs), PlanMode::Naive) => {
+                note_intersections(1);
+                index
+                    .search_with_stats(&q, index.num_docs(), Scorer::default(), stats)
+                    .into_iter()
+                    .filter(|s| runs[no].binary_search(&s.doc).is_ok())
+                    .take(k)
+                    .collect()
             }
+        };
+        for s in scored {
+            gathered.push((s.score, shard.ordinals[s.doc as usize], s.external_id));
         }
     }
+    gather(gathered, k)
+}
 
-    // 4) Facet counts over the full criteria-eligible set (independent
-    // of k and of the keyword ranking).
-    let mut counts: BTreeMap<(FacetField, String), u64> = BTreeMap::new();
-    if !facet_fields.is_empty() {
-        let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_FACET_COUNT);
-        for (no, shard) in shards.iter().enumerate() {
-            let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
-            for &field in &facet_fields {
-                for (value, run) in shard.facets.values(field) {
-                    note_intersections(1);
-                    let c = intersect_count(run, &eligible[no]);
-                    if c > 0 {
-                        *counts.entry((field, value.to_string())).or_insert(0) += c;
-                    }
-                }
-            }
+/// Without a scoring node: the first `k` eligible documents in global
+/// ingest order, each scored 0.
+fn ingest_order(
+    shards: &[Arc<ShardSnapshot>],
+    eligible: Option<&[Vec<u32>]>,
+    k: usize,
+) -> Vec<SearchHit> {
+    let mut gathered = Vec::new();
+    for (no, shard) in shards.iter().enumerate() {
+        let docs: Vec<u32> = match eligible {
+            Some(runs) => runs[no].iter().copied().take(k).collect(),
+            None => (0..shard.index.num_docs() as u32).take(k).collect(),
+        };
+        for doc in docs {
+            let id = shard.index.external_id(doc).unwrap_or_default().to_string();
+            gathered.push((0.0, shard.ordinals[doc as usize], id));
         }
     }
+    gather(gathered, k)
+}
 
-    // 5) Merge: the shard_equivalence tie-break — score descending by
-    // total_cmp, global ingest ordinal ascending.
-    let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_MERGE);
+/// Gathers per-shard `(score, global ingest ordinal, report id)` hits
+/// under the `shard_equivalence` tie-break — score descending by
+/// `total_cmp`, ordinal ascending — and caps at `k`. Each shard's local
+/// top-k under its internal-id tie-break equals its top-k under the
+/// ordinal tie-break, because routing preserves ingest order within a
+/// shard.
+fn gather(mut gathered: Vec<(f64, u64, String)>, k: usize) -> Vec<SearchHit> {
     gathered.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
     gathered.truncate(k);
-    let hits = gathered
+    gathered
         .into_iter()
         .map(|(score, _, report_id)| SearchHit {
             report_id,
@@ -868,8 +909,35 @@ pub(crate) fn execute_cohort(
             source: SearchSource::Keyword,
             pattern_matched: false,
         })
-        .collect();
-    let facets = facet_fields
+        .collect()
+}
+
+/// The `FacetCount` stage: per-value counts of each field over the
+/// eligible set (independent of `k` and of any ranking).
+fn facet_counts(
+    shards: &[Arc<ShardSnapshot>],
+    fields: &[FacetField],
+    eligible: Option<&[Vec<u32>]>,
+) -> Vec<FacetCounts> {
+    let mut counts: BTreeMap<(FacetField, String), u64> = BTreeMap::new();
+    for (no, shard) in shards.iter().enumerate() {
+        let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
+        for &field in fields {
+            for (value, run) in shard.facets.values(field) {
+                let c = match eligible {
+                    Some(runs) => {
+                        note_intersections(1);
+                        intersect_count(run, &runs[no])
+                    }
+                    None => run.len() as u64,
+                };
+                if c > 0 {
+                    *counts.entry((field, value.to_string())).or_insert(0) += c;
+                }
+            }
+        }
+    }
+    fields
         .iter()
         .map(|&field| FacetCounts {
             field,
@@ -879,12 +947,7 @@ pub(crate) fn execute_cohort(
                 .map(|((_, v), c)| (v.clone(), *c))
                 .collect(),
         })
-        .collect();
-    CohortResult {
-        hits,
-        total_matched: eligible.iter().map(|e| e.len() as u64).sum(),
-        facets,
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -980,14 +1043,25 @@ mod tests {
             ],
         }
         .optimize();
+        let other_policy = QueryPlan {
+            nodes: vec![
+                filter(FacetField::Sex, &["female"]),
+                PlanNode::Merge {
+                    policy: MergePolicy::Neo4jFirst,
+                    k: 10,
+                },
+            ],
+        }
+        .optimize();
         let keys = [
             base.canonical_key(),
             other_value.canonical_key(),
             other_k.canonical_key(),
+            other_policy.canonical_key(),
         ];
         assert_eq!(
             keys.iter().collect::<std::collections::HashSet<_>>().len(),
-            3,
+            4,
             "{keys:?}"
         );
     }
@@ -1061,12 +1135,17 @@ mod tests {
     fn lowering_search_respects_policy() {
         let ontology = clinical_ontology();
         let parsed = crate::pipeline::QueryIE::parse_gazetteer("fever then cough", &ontology);
-        let both = lower_search("fever then cough", &parsed, 10, MergePolicy::Neo4jFirst);
-        assert!(both.has_graph() && both.has_keyword());
-        let es = lower_search("fever then cough", &parsed, 10, MergePolicy::EsOnly);
-        assert!(!es.has_graph() && es.has_keyword());
-        let graph = lower_search("fever then cough", &parsed, 10, MergePolicy::GraphOnly);
-        assert!(graph.has_graph() && !graph.has_keyword());
+        let legs = |policy| {
+            let plan = lower_search("fever then cough", &parsed, 10, policy);
+            let has = |want: fn(&PlanNode) -> bool| plan.nodes.iter().any(want);
+            (
+                has(|n| matches!(n, PlanNode::GraphMatch { .. })),
+                has(|n| matches!(n, PlanNode::Keyword { .. })),
+            )
+        };
+        assert_eq!(legs(MergePolicy::Neo4jFirst), (true, true));
+        assert_eq!(legs(MergePolicy::EsOnly), (false, true));
+        assert_eq!(legs(MergePolicy::GraphOnly), (true, false));
     }
 
     #[test]

@@ -1,23 +1,23 @@
-//! The two search engines and the Fig-6 merge policies.
+//! The two search engines and the Fig-6 merge policies — the primitives
+//! the plan executor ([`crate::plan`]) runs per shard.
 //!
 //! * **Keyword engine** — BM25 over the inverted index (ElasticSearch's
 //!   role; with `MergePolicy::EsOnly` it *is* the Solr baseline the paper
-//!   compares against).
+//!   compares against). `keyword_query` builds the three-field query a
+//!   `Keyword` plan node scores with.
 //! * **Graph engine** — walks the property graph (Neo4j's role): a report
 //!   matches when it mentions every query concept; when the query carries
 //!   a temporal pattern, the report's event steps must realize it. Pattern
-//!   realizations outrank concept-only matches.
+//!   realizations outrank concept-only matches. `graph_search` answers
+//!   one shard's graph for a `GraphMatch` node.
 //! * **Merge** — "By default, Neo4j is the primary search engine in
 //!   CREATe-IR. The results returned by Neo4j will be placed on top,
 //!   followed by results from ElasticSearch" (Section III-D).
 
-use crate::pipeline::QueryIE;
-use crate::system::ShardSnapshot;
 use create_docstore::Value;
 use create_graphdb::{NodeId, PropertyGraph};
-use create_index::{CorpusStats, Index, QueryNode, Scorer};
+use create_index::{Index, QueryNode};
 use create_ontology::{ConceptId, RelationType};
-use std::sync::Arc;
 
 /// Which engine produced a hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,9 +155,38 @@ fn pattern_matches(
     false
 }
 
-/// Runs the graph query: all concepts required; pattern scored on top.
-pub fn graph_search(graph: &PropertyGraph, query: &QueryIE, k: usize) -> Vec<SearchHit> {
-    let concepts = query.event_concepts();
+/// The graph node of a report, found through the graph's
+/// `(Report, reportId)` property index; should several carry the id, the
+/// newest one answers (as in [`reports_mentioning`]).
+pub(crate) fn report_node(graph: &PropertyGraph, report_id: &str) -> Option<NodeId> {
+    let rid = Value::String(report_id.to_string());
+    graph
+        .nodes_with_prop("Report", "reportId", &rid)
+        .last()
+        .copied()
+}
+
+/// The graph engine's order — score descending, report id ascending —
+/// capped at `k`. Total over distinct report ids, so sorting the
+/// concatenated per-shard lists reproduces the single-graph ranking.
+pub(crate) fn rank_graph_hits(hits: &mut Vec<SearchHit>, k: usize) {
+    hits.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .expect("finite scores")
+            .then_with(|| a.report_id.cmp(&b.report_id))
+    });
+    hits.truncate(k);
+}
+
+/// Runs the graph query over one graph: every concept required; a
+/// realized temporal `pattern` scores on top.
+pub(crate) fn graph_search(
+    graph: &PropertyGraph,
+    concepts: &[ConceptId],
+    pattern: Option<(ConceptId, ConceptId, RelationType)>,
+    k: usize,
+) -> Vec<SearchHit> {
     if concepts.is_empty() {
         return Vec::new();
     }
@@ -178,7 +207,7 @@ pub fn graph_search(graph: &PropertyGraph, query: &QueryIE, k: usize) -> Vec<Sea
         if !rest.iter().all(|l| l.contains(&report)) {
             continue;
         }
-        let pattern_matched = match query.pattern {
+        let pattern_matched = match pattern {
             Some((c1, c2, rel)) => pattern_matches(graph, report, c1, c2, rel, &mut traversal),
             None => false,
         };
@@ -204,13 +233,7 @@ pub fn graph_search(graph: &PropertyGraph, query: &QueryIE, k: usize) -> Vec<Sea
         });
     }
     create_obs::record_graph_exec(traversal.nodes, traversal.edges);
-    hits.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("finite scores")
-            .then_with(|| a.report_id.cmp(&b.report_id))
-    });
-    hits.truncate(k);
+    rank_graph_hits(&mut hits, k);
     hits
 }
 
@@ -228,114 +251,6 @@ pub(crate) fn keyword_query(index: &Index, query_text: &str) -> QueryNode {
         ],
         must_not: vec![],
     }
-}
-
-/// Runs the keyword engine: BM25 over title/body (+ n-gram field).
-pub fn keyword_search(index: &Index, query_text: &str, k: usize) -> Vec<SearchHit> {
-    let q = keyword_query(index, query_text);
-    index
-        .search(&q, k, Scorer::default())
-        .into_iter()
-        .map(|s| SearchHit {
-            report_id: s.external_id,
-            score: s.score,
-            source: SearchSource::Keyword,
-            pattern_matched: false,
-        })
-        .collect()
-}
-
-/// Scatter-gather keyword search over every shard.
-///
-/// Each shard runs its top-k against its own postings, but under
-/// **merged corpus statistics** ([`CorpusStats`]): document frequencies,
-/// document counts, and field lengths are summed across shards first, so
-/// every shard computes exactly the idf and average-length terms a
-/// single global index would — per-document BM25 scores come out
-/// bit-identical to the unsharded engine. The per-shard top-k lists are
-/// then merged under `(score descending by total_cmp, global ingest
-/// ordinal ascending)`. The ordinal tie-break reproduces the
-/// single-index internal-doc-id tie-break exactly (internal ids are
-/// assigned in ingest order), so the gathered ranking is bit-identical
-/// for any shard count — including the trivial N=1 deployment, which
-/// short-circuits to the plain single-index path.
-pub(crate) fn scatter_keyword_search(
-    shards: &[Arc<ShardSnapshot>],
-    query_text: &str,
-    k: usize,
-) -> Vec<SearchHit> {
-    if shards.len() == 1 {
-        let _span = create_obs::shard_span(create_obs::names::SPAN_KEYWORD_SHARD, 0);
-        return keyword_search(&shards[0].index, query_text, k);
-    }
-    let q = keyword_query(&shards[0].index, query_text);
-    let mut stats = CorpusStats::default();
-    for shard in shards {
-        stats.merge(CorpusStats::collect(&shard.index, &q));
-    }
-    // (score, global ordinal, report id) per shard-local hit. Each
-    // shard's top-k under its local internal-id tie-break equals its
-    // top-k under the ordinal tie-break: routing preserves ingest order
-    // within a shard, so local internal ids are ordered exactly like the
-    // ordinals they map to.
-    let mut gathered: Vec<(f64, u64, String)> = Vec::with_capacity(shards.len() * k);
-    for (shard_no, shard) in shards.iter().enumerate() {
-        let _span = create_obs::shard_span(create_obs::names::SPAN_KEYWORD_SHARD, shard_no as u32);
-        for scored in shard
-            .index
-            .search_with_stats(&q, k, Scorer::default(), Some(&stats))
-        {
-            gathered.push((
-                scored.score,
-                shard.ordinals[scored.doc as usize],
-                scored.external_id,
-            ));
-        }
-    }
-    gathered.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    gathered.truncate(k);
-    gathered
-        .into_iter()
-        .map(|(score, _, report_id)| SearchHit {
-            report_id,
-            score,
-            source: SearchSource::Keyword,
-            pattern_matched: false,
-        })
-        .collect()
-}
-
-/// Scatter-gather graph search over every shard.
-///
-/// A report's whole neighbourhood — its events, mentions, and temporal
-/// edges — lives in its owning shard, so a graph hit's score is computed
-/// entirely from shard-local state and is independent of the shard
-/// count. Gathering concatenates the per-shard hit lists and re-applies
-/// the engine's own ordering (score descending, report id ascending),
-/// which is total over distinct report ids — the merged ranking is
-/// exactly the single-graph ranking.
-pub(crate) fn scatter_graph_search(
-    shards: &[Arc<ShardSnapshot>],
-    query: &QueryIE,
-    k: usize,
-) -> Vec<SearchHit> {
-    if shards.len() == 1 {
-        let _span = create_obs::shard_span(create_obs::names::SPAN_GRAPH_SHARD, 0);
-        return graph_search(&shards[0].graph, query, k);
-    }
-    let mut hits: Vec<SearchHit> = Vec::new();
-    for (shard_no, shard) in shards.iter().enumerate() {
-        let _span = create_obs::shard_span(create_obs::names::SPAN_GRAPH_SHARD, shard_no as u32);
-        hits.extend(graph_search(&shard.graph, query, k));
-    }
-    hits.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("finite scores")
-            .then_with(|| a.report_id.cmp(&b.report_id))
-    });
-    hits.truncate(k);
-    hits
 }
 
 /// Merges the two engines' ranked lists under a policy, deduplicating by

@@ -10,7 +10,7 @@
 //! [`Snapshot`] — one `Arc` per shard — published through a single
 //! [`ArcCell`], so a publish clones only the touched shards' spines while
 //! reads stay lock-free and can never observe a torn mix of shard
-//! generations. Scatter-gather search (see [`crate::search`]) merges
+//! generations. Scatter-gather search (see [`crate::plan`]) merges
 //! per-shard top-k lists under globally merged corpus statistics, so
 //! rankings are bit-identical for any shard count. The facade exposes the
 //! user-facing operations of the demo: ingest (gold corpus entries, raw
@@ -22,8 +22,8 @@ use crate::durability::{self, ShardStorage, StorageRoot, WalRecord};
 use crate::facet_build::facet_values;
 use crate::graph_build::{GraphBuilder, ReportMeta};
 use crate::pipeline::{ExtractedAnnotations, QueryIE};
-use crate::plan::{self, CohortCriteria, CohortResult, PlanMode, QueryPlan};
-use crate::search::{scatter_graph_search, scatter_keyword_search, MergePolicy, SearchHit};
+use crate::plan::{self, CohortCriteria, CohortResult, PlanMode};
+use crate::search::{report_node, MergePolicy, SearchHit};
 use create_annotate::{case_report_to_brat, BratDocument};
 use create_corpus::CaseReport;
 use create_docstore::{json::obj, DocStore, Filter, StoreSnapshot, Value};
@@ -146,7 +146,7 @@ pub(crate) struct ShardSnapshot {
     pub(crate) tagger: Option<Arc<CrfTagger>>,
     /// Shard-local internal doc id → global ingest ordinal. The scatter
     /// merge tie-breaks equal scores on this, which reproduces the
-    /// single-shard internal-id tie-break exactly (see [`crate::search`]).
+    /// single-shard internal-id tie-break exactly (see [`crate::plan`]).
     pub(crate) ordinals: Arc<Vec<u64>>,
     /// Ingest-time facet bitmaps over the shard's doc ids (the cohort
     /// planner's filter-pushdown and facet-count substrate).
@@ -1917,11 +1917,13 @@ impl Create {
     /// concurrent ingest can never produce a torn result (graph hits from
     /// one generation, keyword hits from another). The query is parsed
     /// and lowered into its typed plan up front; results are cached by
-    /// the plan's **canonical key** (plus `k` and policy) in the query's
-    /// cache partition and stamped with the composite generation; any
-    /// publish anywhere invalidates them wholesale on first touch (see
-    /// [`crate::cache`]). The cache lock is dropped during execution, so
-    /// concurrent `search_many` workers never serialize while computing.
+    /// the plan's **canonical key** (which renders `k` and the policy too)
+    /// in the query's cache partition and stamped with the composite
+    /// generation; any publish anywhere invalidates them wholesale on
+    /// first touch (see [`crate::cache`]). A miss runs the plan through
+    /// `plan::execute`, the executor `/cohort` shares. The cache lock is
+    /// dropped during execution, so concurrent `search_many` workers never
+    /// serialize while computing.
     pub fn search_with_policy(&self, query: &str, k: usize, policy: MergePolicy) -> Vec<SearchHit> {
         let capture = QueryCapture::begin();
         let span = create_obs::child_span(obs_names::SPAN_SEARCH);
@@ -1943,7 +1945,7 @@ impl Create {
         let cached = cache
             .lock()
             .ok()
-            .and_then(|mut cache| cache.get(&plan_key, k, policy, generation));
+            .and_then(|mut cache| cache.get(&plan_key, generation));
         let hits = match cached {
             Some(hits) => {
                 create_obs::add_span_counter("cache_hit", 1);
@@ -1951,9 +1953,9 @@ impl Create {
             }
             None => {
                 create_obs::add_span_counter("cache_miss", 1);
-                let hits = self.execute_search(&snapshot, query, &parsed, &plan, k, policy);
+                let hits = plan::execute(&snapshot.shards, &plan, PlanMode::Optimized).hits;
                 if let Ok(mut cache) = cache.lock() {
-                    cache.insert(&plan_key, k, policy, generation, hits.clone());
+                    cache.insert(&plan_key, generation, hits.clone());
                 }
                 hits
             }
@@ -1965,42 +1967,13 @@ impl Create {
         hits
     }
 
-    /// The uncached execution path behind [`Create::search_with_policy`]:
-    /// the lowered plan decides which engine legs run; each leg scatters
-    /// over every shard of the given snapshot and gathers
-    /// deterministically (see [`crate::search`]).
-    fn execute_search(
-        &self,
-        snapshot: &Snapshot,
-        query: &str,
-        parsed: &QueryIE,
-        plan: &QueryPlan,
-        k: usize,
-        policy: MergePolicy,
-    ) -> Vec<SearchHit> {
-        let graph_hits = if plan.has_graph() {
-            let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_GRAPH_SEARCH);
-            scatter_graph_search(&snapshot.shards, parsed, k)
-        } else {
-            Vec::new()
-        };
-        let keyword_hits = if plan.has_keyword() {
-            let _span =
-                Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_KEYWORD_SEARCH);
-            scatter_keyword_search(&snapshot.shards, query, k)
-        } else {
-            Vec::new()
-        };
-        let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_MERGE);
-        crate::search::merge(graph_hits, keyword_hits, policy, k)
-    }
-
     /// Cohort retrieval: answers a criteria set (facet filters, optional
     /// keywords, temporal-interval constraints) with the ranked matching
     /// reports plus facet aggregations over the full matching set.
     ///
-    /// The criteria lower into the typed plan IR, normalize, and execute
-    /// per shard with bitmap filter pushdown (see [`crate::plan`]).
+    /// The criteria lower into the typed plan IR, normalize, and run
+    /// through `plan::execute` — the executor `/search` shares — with
+    /// bitmap filter pushdown (see [`crate::plan`]).
     /// Results are bit-identical for any shard count.
     pub fn cohort(&self, criteria: &CohortCriteria) -> CohortResult {
         self.cohort_with_mode(criteria, PlanMode::Optimized)
@@ -2014,12 +1987,14 @@ impl Create {
         let snapshot = self.current.load();
         let plan = {
             let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_PLAN);
-            match mode {
+            let plan = match mode {
                 PlanMode::Optimized => plan::lower_cohort(criteria).optimize(),
                 PlanMode::Naive => plan::lower_cohort(criteria),
-            }
+            };
+            plan.note_nodes();
+            plan
         };
-        plan::execute_cohort(&snapshot.shards, &plan, mode)
+        plan::execute(&snapshot.shards, &plan, mode)
     }
 
     /// Parses a criteria JSON document against this instance's ontology
@@ -2092,18 +2067,8 @@ impl Create {
     pub fn visualize(&self, id: &str) -> Option<String> {
         let snapshot = self.current.load();
         let graph = &snapshot.shards[self.shard_of(id)].graph;
-        let report_node = graph
-            .nodes_with_label("Report")
-            .into_iter()
-            .find(|&n| {
-                graph
-                    .node(n)
-                    .and_then(|node| node.props.get("reportId"))
-                    .and_then(|v| v.as_str())
-                    .is_some_and(|rid| rid == id)
-            })?;
         let events: Vec<_> = graph
-            .outgoing(report_node)
+            .outgoing(report_node(graph, id)?)
             .into_iter()
             .filter(|e| e.rel_type == "CONTAINS")
             .map(|e| e.target)

@@ -130,7 +130,8 @@ pub const SPAN_SEARCH: &str = "search";
 pub const SPAN_KEYWORD_SHARD: &str = "keyword_shard";
 pub const SPAN_GRAPH_SHARD: &str = "graph_shard";
 /// The per-request cohort-retrieval span (the `/cohort` analogue of
-/// [`SPAN_SEARCH`]) and its per-shard scatter children.
+/// [`SPAN_SEARCH`]) and the per-shard children of its filter, temporal
+/// and facet-count stages (its keyword stage uses [`SPAN_KEYWORD_SHARD`]).
 pub const SPAN_COHORT: &str = "cohort";
 pub const SPAN_COHORT_SHARD: &str = "cohort_shard";
 

@@ -236,7 +236,9 @@ print(best)
 EOF
 }
 # Best of 3 interleaved runs per variant: single runs swing well past
-# 5% on noisy CI hosts, which would drown the threshold in flakes. The
+# 5% on noisy CI hosts, which would drown the threshold in flakes. Each
+# run's qps is itself the best of 3 reps that bench_search stretches to
+# at least 50 ms by cycling the query list. The
 # stripped build gets its own target dir so the two binaries coexist
 # (sharing one dir would rebuild the world on every feature flip).
 cargo build -q --release -p create-bench --bin bench_search
